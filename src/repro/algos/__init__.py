@@ -24,9 +24,7 @@ from repro.algos.greedy_rel import GreedyRelTree, greedy_rel, greedy_rel_order
 from repro.algos.heap import AddressableMinHeap
 from repro.algos.indirect_haar import indirect_haar, indirect_haar_search
 from repro.algos.minhaarspace import (
-    DP_KERNELS,
     DualSolution,
-    KernelSpec,
     MRow,
     approx_params,
     combine_rows,
@@ -39,18 +37,15 @@ from repro.algos.minhaarspace import (
     leaf_row,
     min_haar_space,
     min_haar_space_restricted,
-    resolve_kernel,
     traceback_subtree,
 )
 
 __all__ = [
     "AddressableMinHeap",
-    "DP_KERNELS",
     "DualSolution",
     "GreedyAbsTree",
     "GreedyRelTree",
     "GreedyRun",
-    "KernelSpec",
     "MRow",
     "Removal",
     "approx_params",
@@ -59,7 +54,6 @@ __all__ = [
     "compute_subtree_rows",
     "compute_subtree_rows_restricted",
     "effective_delta",
-    "resolve_kernel",
     "conventional_synopsis",
     "finalize_root",
     "finalize_root_restricted",

@@ -17,10 +17,10 @@ contracts keep that promise honest:
   clobbering inputs corrupts the next repetition.
 * **KC004** — completion-order or hash-order iteration
   (``as_completed``/``imap_unordered``, looping over a set) in kernel
-  code: the parallel level walk stays bit-identical to the serial one
-  only because results are collected in submission order
-  (``Executor.map``); completion order varies run to run and set order
-  varies across interpreter seeds.
+  code: kernel output stays bit-identical across runtimes only when
+  results are collected in submission order (``Executor.map``);
+  completion order varies run to run and set order varies across
+  interpreter seeds.
 """
 
 from __future__ import annotations
@@ -194,8 +194,8 @@ class NondeterministicCollection(_KernelRule):
 
     rule_id: ClassVar[str] = "KC004"
     summary: ClassVar[str] = (
-        "completion-order or set-order iteration in kernel code; the parallel "
-        "level walk is bit-identical to the serial one only under "
+        "completion-order or set-order iteration in kernel code; kernel "
+        "output is bit-identical across runtimes only under "
         "submission-order collection (Executor.map)"
     )
 

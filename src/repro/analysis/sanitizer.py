@@ -139,9 +139,10 @@ class Sanitizer:
     def observe_kernel_rows(self, rows: Any) -> None:
         """Hash one kernel sub-tree's row table.
 
-        Called from the DP combine path, possibly concurrently (the
-        ``parallel`` kernel); the digest list is canonicalized by
-        sorting in :meth:`report`, so collection order cannot matter.
+        Called from the DP combine path, possibly concurrently (sub-tree
+        map tasks on the thread-pool runtime); the digest list is
+        canonicalized by sorting in :meth:`report`, so collection order
+        cannot matter.
         """
         digest = stable_digest(rows)
         with self._lock:

@@ -148,7 +148,6 @@ def d_indirect_haar(
     max_iterations: int = 48,
     restricted: bool = False,
     rho: float = 0.0,
-    kernel: str = "auto",
     layer_plan: LayerPlan | str | None = None,
 ) -> WaveletSynopsis:
     """DIndirectHaar: Problem 1 at cluster scale (Algorithm 2 + Section 4).
@@ -162,7 +161,7 @@ def d_indirect_haar(
     run) at the coarsened approximate tier, shrinking the shipped M-rows
     — and with them the Eq. 6 communication per layer — while keeping
     ``size <= budget`` and the :func:`~repro.algos.indirect_haar.indirect_haar`
-    error guarantee.  ``kernel`` picks the map-side combine kernel.
+    error guarantee.
 
     ``layer_plan`` selects the DP band schedule for every probe: a
     :class:`~repro.core.partitioning.LayerPlan`, the plan grammar
@@ -234,7 +233,6 @@ def d_indirect_haar(
             construct=False,
             restricted=restricted,
             rho=rho,
-            kernel=kernel,
             layer_plan=plan,
         )
 
@@ -255,7 +253,6 @@ def d_indirect_haar(
         construct=True,
         restricted=restricted,
         rho=rho,
-        kernel=kernel,
         layer_plan=plan,
     )
     synopsis = final.synopsis

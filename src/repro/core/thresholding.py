@@ -56,7 +56,6 @@ def serving_error_target(
     budget: int,
     delta: float = 1.0,
     rho: float = 0.0,
-    dp_kernel: str = "auto",
 ) -> float:
     """Derive the max-abs error target a serving DP series pins for ``budget``.
 
@@ -69,7 +68,7 @@ def serving_error_target(
     is already exact falls back to ``delta`` (always feasible there).
     """
     values = pad_to_power_of_two(np.asarray(data, dtype=np.float64))
-    synopsis = indirect_haar(values, budget, delta, rho=rho, kernel=dp_kernel)
+    synopsis = indirect_haar(values, budget, delta, rho=rho)
     return float(synopsis.meta.get("epsilon", delta))
 
 
@@ -83,7 +82,6 @@ def build_synopsis(
     subtree_leaves: int = 1024,
     pad: bool = True,
     rho: float = 0.0,
-    dp_kernel: str = "auto",
     layer_plan: str | None = None,
 ) -> WaveletSynopsis:
     """Build a ``budget``-coefficient wavelet synopsis of ``data``.
@@ -117,10 +115,6 @@ def build_synopsis(
         only).  ``0`` is the exact DP; ``rho > 0`` trades an error
         inflation of at most ``(1 + rho)`` for narrower M-rows — see
         :func:`repro.algos.minhaarspace.approx_params`.
-    dp_kernel:
-        Combine-kernel registry entry for the DP-based algorithms
-        (:data:`repro.algos.minhaarspace.DP_KERNELS`); all entries are
-        bit-identical, the knob only trades time.
     layer_plan:
         Band schedule for the distributed DP algorithms
         (``dindirect-haar`` variants): ``"auto"`` for the adaptive
@@ -162,11 +156,9 @@ def build_synopsis(
     if algorithm == "greedy-rel":
         return greedy_rel(values, budget, sanity_bound)
     if algorithm == "indirect-haar":
-        return indirect_haar(values, budget, delta, rho=rho, kernel=dp_kernel)
+        return indirect_haar(values, budget, delta, rho=rho)
     if algorithm == "indirect-haar-restricted":
-        return indirect_haar(
-            values, budget, delta, restricted=True, rho=rho, kernel=dp_kernel
-        )
+        return indirect_haar(values, budget, delta, restricted=True, rho=rho)
     if algorithm == "conventional":
         return conventional_synopsis(values, budget)
 
@@ -185,7 +177,6 @@ def build_synopsis(
             cluster,
             subtree_leaves,
             rho=rho,
-            kernel=dp_kernel,
             layer_plan=layer_plan,
         )
     if algorithm == "dindirect-haar-restricted":
@@ -197,7 +188,6 @@ def build_synopsis(
             subtree_leaves,
             restricted=True,
             rho=rho,
-            kernel=dp_kernel,
             layer_plan=layer_plan,
         )
     if algorithm == "con":

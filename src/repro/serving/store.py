@@ -245,7 +245,6 @@ class ShardedSynopsisStore:
         base_leaves: int = 1024,
         subtree_leaves: int = 1024,
         rho: float = 0.0,
-        dp_kernel: str = "auto",
     ) -> SeriesVersion:
         """Register ``data`` under ``name`` and build version 1.
 
@@ -264,21 +263,14 @@ class ShardedSynopsisStore:
             params: dict[str, Any] = {"budget": budget, "base_leaves": base_leaves}
         elif tier == "dp":
             if epsilon is None:
-                epsilon = serving_error_target(
-                    values, budget, delta, rho=rho, dp_kernel=dp_kernel
-                )
+                epsilon = serving_error_target(values, budget, delta, rho=rho)
             maintainer = DPMaintainer(
-                epsilon,
-                delta=delta,
-                subtree_leaves=subtree_leaves,
-                kernel=dp_kernel,
-                rho=rho,
+                epsilon, delta=delta, subtree_leaves=subtree_leaves, rho=rho
             )
             params = {
                 "epsilon": epsilon,
                 "delta": delta,
                 "subtree_leaves": subtree_leaves,
-                "kernel": dp_kernel,
                 "rho": rho,
             }
         else:
@@ -514,7 +506,9 @@ class ShardedSynopsisStore:
             cluster=cluster,
         )
         for name, entry in payload["series"].items():
-            params = entry["params"]
+            # Stores saved before the combine-kernel knob was removed
+            # carry a ``kernel`` key on DP-tier series; it chose no output.
+            params = {k: v for k, v in entry["params"].items() if k != "kernel"}
             maintainer: GreedyMaintainer | DPMaintainer
             if entry["tier"] == "greedy":
                 maintainer = GreedyMaintainer(
@@ -525,7 +519,6 @@ class ShardedSynopsisStore:
                     float(params["epsilon"]),
                     delta=float(params["delta"]),
                     subtree_leaves=int(params["subtree_leaves"]),
-                    kernel=str(params["kernel"]),
                     rho=float(params["rho"]),
                 )
             data = np.asarray(entry["data"], dtype=np.float64)

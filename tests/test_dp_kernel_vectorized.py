@@ -14,9 +14,7 @@ import pytest
 
 import repro.algos.minhaarspace as mhs
 from repro.algos.minhaarspace import (
-    DP_KERNELS,
     INFEASIBLE_COUNT,
-    KernelSpec,
     MRow,
     combine_rows,
     combine_rows_restricted,
@@ -26,7 +24,6 @@ from repro.algos.minhaarspace import (
     leaf_rows,
     min_haar_space,
     min_haar_space_restricted,
-    resolve_kernel,
 )
 from repro.exceptions import InfeasibleErrorBound
 
@@ -208,19 +205,29 @@ class TestEndToEndEquivalence:
     def test_min_haar_space_same_synopsis_scalar_vs_windowed(
         self, monkeypatch, n, epsilon
     ):
+        # Pin the cell-count dispatch to one kernel per side: 0 cells
+        # never falls back (every combine windowed), 10**12 always does.
         data = np.random.default_rng(n).integers(0, 1000, n).astype(float)
-        vectorized = min_haar_space(data, epsilon, 1.0)
+        monkeypatch.setattr(mhs, "SCALAR_FALLBACK_CELLS", 0)
+        windowed = min_haar_space(data, epsilon, 1.0)
         monkeypatch.setattr(mhs, "SCALAR_FALLBACK_CELLS", 10**12)
         scalar = min_haar_space(data, epsilon, 1.0)
-        assert vectorized.size == scalar.size
-        assert vectorized.max_error == scalar.max_error
-        assert vectorized.synopsis.coefficients == scalar.synopsis.coefficients
+        assert windowed.size == scalar.size
+        assert windowed.max_error == scalar.max_error
+        assert windowed.synopsis.coefficients == scalar.synopsis.coefficients
 
     def test_min_haar_space_restricted_same_synopsis(self, monkeypatch):
         data = np.random.default_rng(9).integers(0, 500, 256).astype(float)
         vectorized = min_haar_space_restricted(data, 60.0, 1.0)
-        monkeypatch.setattr(mhs, "SCALAR_FALLBACK_CELLS", 10**12)
+        oracle_calls = []
+
+        def oracle(*args):
+            oracle_calls.append(1)
+            return combine_rows_restricted_scalar(*args)
+
+        monkeypatch.setattr(mhs, "combine_rows_restricted", oracle)
         scalar = min_haar_space_restricted(data, 60.0, 1.0)
+        assert len(oracle_calls) == 255  # every node of the 256-leaf tree
         assert vectorized.size == scalar.size
         assert vectorized.max_error == scalar.max_error
         assert vectorized.synopsis.coefficients == scalar.synopsis.coefficients
@@ -231,57 +238,3 @@ class TestEndToEndEquivalence:
         assert solution.epsilon == 15.0
         restricted = min_haar_space_restricted(data, 25.0, 1.0)
         assert restricted.epsilon == 25.0
-
-
-class TestKernelRegistry:
-    """Every registry entry trades only time, never output."""
-
-    def test_resolve_kernel_by_name_and_spec(self):
-        spec = resolve_kernel("parallel")
-        assert spec.parallel and spec.name == "parallel"
-        assert resolve_kernel(spec) is spec  # specs pass through untouched
-        assert resolve_kernel("scalar").force == "scalar"
-        assert resolve_kernel("windowed").force == "windowed"
-        assert resolve_kernel("auto").force is None
-
-    def test_unknown_kernel_name_lists_the_registry(self):
-        with pytest.raises(ValueError) as err:
-            resolve_kernel("simd")
-        for name in DP_KERNELS:
-            assert name in str(err.value)
-
-    @pytest.mark.parametrize("kernel", sorted(DP_KERNELS))
-    def test_every_kernel_bit_identical_unrestricted(self, kernel):
-        data = np.random.default_rng(41).integers(0, 500, 256).astype(float)
-        reference = min_haar_space(data, 30.0, 0.25)
-        got = min_haar_space(data, 30.0, 0.25, kernel=kernel)
-        assert got.size == reference.size
-        assert got.max_error == reference.max_error
-        assert got.synopsis.coefficients == reference.synopsis.coefficients
-
-    @pytest.mark.parametrize("kernel", sorted(DP_KERNELS))
-    def test_every_kernel_bit_identical_restricted(self, kernel):
-        data = np.random.default_rng(43).integers(0, 500, 128).astype(float)
-        reference = min_haar_space_restricted(data, 60.0, 0.5)
-        got = min_haar_space_restricted(data, 60.0, 0.5, kernel=kernel)
-        assert got.size == reference.size
-        assert got.max_error == reference.max_error
-        assert got.synopsis.coefficients == reference.synopsis.coefficients
-
-    def test_parallel_walk_matches_serial_even_below_the_gate(self, monkeypatch):
-        # Force the executor path on rows the size gate would normally
-        # keep serial: the level walk must still collect in index order.
-        monkeypatch.setattr(mhs, "PARALLEL_MIN_ENTRIES", 0)
-        data = np.random.default_rng(47).integers(0, 200, 128).astype(float)
-        parallel = min_haar_space(data, 20.0, 0.5, kernel="parallel")
-        serial = min_haar_space(data, 20.0, 0.5, kernel="auto")
-        assert parallel.max_error == serial.max_error
-        assert parallel.synopsis.coefficients == serial.synopsis.coefficients
-
-    def test_parallel_spec_respects_explicit_worker_count(self):
-        spec = KernelSpec(name="parallel", parallel=True, workers=3)
-        assert spec.resolved_workers() == 3
-        data = np.random.default_rng(53).integers(0, 200, 64).astype(float)
-        got = min_haar_space(data, 20.0, 0.5, kernel=spec)
-        reference = min_haar_space(data, 20.0, 0.5)
-        assert got.synopsis.coefficients == reference.synopsis.coefficients

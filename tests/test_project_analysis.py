@@ -534,12 +534,10 @@ class TestRepoGate:
         index = load_or_build_index([repo_src], None)
         analysis = RaceAnalysis(index)
         roots = {root.qualname for root in analysis.default_roots()}
-        # The three concurrency families the detector exists for: job
-        # task methods, the thread-pool runtime's task closures, and the
-        # DP kernel's level-walk lambda.
+        # The two concurrency families the repo spawns: job task
+        # methods and the thread-pool runtime's task closures.
         assert "repro.core.dp_framework._BottomUpLayerJob.map" in roots
         assert any("map_task" in root for root in roots)
-        assert any("_run_levels" in root for root in roots)
 
     def test_repo_pickle_verdicts_cover_all_concrete_jobs(self):
         repo_src = Path(__file__).resolve().parent.parent / "src"

@@ -10,6 +10,7 @@ counters and prove eviction never changes answers, only work.
 
 from __future__ import annotations
 
+import json
 import threading
 
 import numpy as np
@@ -213,6 +214,32 @@ class TestStoreApi:
         assert reloaded_version.stats.mode == "full"
         assert original_version.stats.mode == "incremental"
         assert reloaded_version.digest == original_version.digest
+
+    def test_load_ignores_a_persisted_kernel_param(self, tmp_path):
+        # Older store files carry params["kernel"] on DP-tier series; it
+        # never chose any output, so loading must drop it silently.
+        rng = np.random.default_rng(13)
+        store = ShardedSynopsisStore(shards=2)
+        store.create("d", rng.normal(5, 1, 40), tier="dp", epsilon=1.5,
+                     subtree_leaves=8)
+        clean_path = tmp_path / "clean.json"
+        store.save(clean_path)
+        payload = json.loads(clean_path.read_text())
+        assert "kernel" not in payload["series"]["d"]["params"]
+        payload["series"]["d"]["params"]["kernel"] = "parallel"
+        legacy_path = tmp_path / "legacy.json"
+        legacy_path.write_text(json.dumps(payload))
+
+        clean = ShardedSynopsisStore.load(clean_path)
+        legacy = ShardedSynopsisStore.load(legacy_path)
+        assert legacy.snapshot("d").digest == clean.snapshot("d").digest
+        assert legacy.point("d", 3) == clean.point("d", 3)
+        assert legacy.range_sum("d", 2, 30) == clean.range_sum("d", 2, 30)
+        block = rng.normal(5, 1, 8)
+        assert legacy.append("d", block).digest == clean.append("d", block).digest
+        resaved = tmp_path / "resaved.json"
+        legacy.save(resaved)
+        assert "kernel" not in json.loads(resaved.read_text())["series"]["d"]["params"]
 
     def test_digest_reports_compare_clean_across_modes(self):
         rng = np.random.default_rng(21)
