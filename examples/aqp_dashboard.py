@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""A multi-series AQP "dashboard" backed by a SynopsisStore.
+"""A multi-series AQP "dashboard" backed by a ShardedSynopsisStore.
 
-Summarizes several sensor/traffic series into one store, persists it, and
-answers the kind of aggregate queries a dashboard fires — each with a
-deterministic error bound derived from the max-abs guarantee.
+Summarizes several sensor/traffic series as static series of one store,
+persists it, and answers the kind of aggregate queries a dashboard fires —
+each with a deterministic error bound derived from the max-abs guarantee.
 
 Run:  python examples/aqp_dashboard.py
 """
@@ -13,19 +13,24 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import SynopsisStore
+from repro import ShardedSynopsisStore
 from repro.bench import print_table
 from repro.data import nyct_dataset, wd_dataset
 
 
 def main():
-    store = SynopsisStore()
-    store.add("taxi_trip_seconds", nyct_dataset(1 << 13, seed=1), budget=1024)
-    store.add("wind_direction_deg", wd_dataset(1 << 13, seed=2), budget=1024)
+    store = ShardedSynopsisStore()
+    store.create(
+        "taxi_trip_seconds", nyct_dataset(1 << 13, seed=1), tier="static", budget=1024
+    )
+    store.create(
+        "wind_direction_deg", wd_dataset(1 << 13, seed=2), tier="static", budget=1024
+    )
     rng = np.random.default_rng(3)
-    store.add(
+    store.create(
         "requests_per_minute",
         np.maximum(rng.normal(500, 80, size=5000) + 200 * np.sin(np.arange(5000) / 250), 0),
+        tier="static",
         budget=512,
     )
 
@@ -49,7 +54,7 @@ def main():
         path = Path(tmp) / "synopses.json"
         store.save(path)
         size_kb = path.stat().st_size / 1024
-        reloaded = SynopsisStore.load(path)
+        reloaded = ShardedSynopsisStore.load(path)
         print(f"\nPersisted {len(store)} synopses in {size_kb:.1f} KB and reloaded:")
         print(f"  point(taxi_trip_seconds, 42) = {reloaded.point('taxi_trip_seconds', 42):.2f}")
 

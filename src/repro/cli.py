@@ -167,6 +167,20 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_queries(path: str) -> list[Query]:
+    """Parse a ``--queries`` file: a JSON list of ``{op, series, index|lo+hi}``."""
+    try:
+        queries = [
+            Query(e["op"], e["series"], e.get("index"), e.get("lo"), e.get("hi"))
+            for e in json.loads(Path(path).read_text())
+        ]
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ReproError(f"malformed queries file {path}: {exc!r}") from exc
+    if not all(isinstance(q.op, str) and isinstance(q.series, str) for q in queries):
+        raise ReproError(f"queries in {path} need string 'op' and 'series' fields")
+    return queries
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     cluster = SimulatedCluster(runtime=make_runtime(args.runtime))
     store_path = Path(args.store)
@@ -206,19 +220,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.queries:
-        entries = json.loads(Path(args.queries).read_text())
-        results = store.batch(
-            [
-                Query(
-                    op=entry["op"],
-                    series=entry["series"],
-                    index=entry.get("index"),
-                    lo=entry.get("lo"),
-                    hi=entry.get("hi"),
-                )
-                for entry in entries
-            ]
-        )
+        results = store.batch(_load_queries(args.queries))
         payload = [asdict(result) for result in results]
         if args.out:
             Path(args.out).write_text(json.dumps(payload, indent=2))

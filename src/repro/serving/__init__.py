@@ -1,10 +1,10 @@
-"""Online AQP serving layer: sharded synopsis store with incremental
+"""Online AQP serving layer: the sharded synopsis store with incremental
 re-thresholding.
 
 The paper builds synopses offline; this package serves them online —
 concurrent reads via versioned snapshots and a reconstruction LRU,
 appends via incremental re-thresholding that rebuilds only the dirtied
-sub-trees (docs/SERVING.md).
+sub-trees, and static series for synopses built once (docs/SERVING.md).
 """
 
 from repro.serving.cache import ReconstructionCache, reconstruct_segment

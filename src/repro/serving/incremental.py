@@ -66,7 +66,8 @@ class MaintenanceStats:
 
     ``mode`` is ``"full"`` (every sub-tree ran), ``"incremental"`` (only
     the dirty slice ran), or ``"centralized"`` (the series is too small
-    for a sub-tree partition and was rebuilt whole).
+    for a sub-tree partition and was rebuilt whole).  The store's static
+    series, which are never rebuilt, publish ``"static"``.
     """
 
     mode: str

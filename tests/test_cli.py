@@ -117,3 +117,28 @@ class TestQueryAndEvaluate:
         assert main(["evaluate", synopsis_file, data_file]) == 0
         out = capsys.readouterr().out
         assert "max_abs" in out and "L2" in out
+
+
+class TestServe:
+    def test_malformed_queries_fail_cleanly(self, data_file, tmp_path, capsys):
+        store = str(tmp_path / "store.json")
+        assert main(["serve", store, "--create", "s", data_file, "--budget", "16"]) == 0
+        malformed = {
+            "syntax.json": '[{"op": "point", "series": "s", "index": 3',
+            "no_op.json": json.dumps([{"series": "s", "index": 3}]),
+            "no_series.json": json.dumps([{"op": "point", "index": 3}]),
+            "not_a_list.json": json.dumps({"op": "point", "series": "s"}),
+            "float_index.json": json.dumps([{"op": "point", "series": "s", "index": 3.5}]),
+        }
+        for name, text in malformed.items():
+            queries = tmp_path / name
+            queries.write_text(text)
+            capsys.readouterr()
+            assert main(["serve", store, "--queries", str(queries)]) == 1, name
+            assert "error:" in capsys.readouterr().err
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps([{"op": "point", "series": "s", "index": 3}]))
+        capsys.readouterr()
+        assert main(["serve", store, "--queries", str(good)]) == 0
+        (result,) = json.loads(capsys.readouterr().out)
+        assert result["series"] == "s" and result["version"] == 1

@@ -5,7 +5,10 @@ batched queries while a writer appends; every snapshot a reader observes
 must be internally consistent (its recomputed digest matches the digest
 it was published with — a torn coefficient dict would diverge) and
 versions must be monotone per reader.  The LRU tests pin the cache
-counters and prove eviction never changes answers, only work.
+counters and prove eviction never changes answers, only work.  The
+static-tier tests carry the behaviours of the former single-tier store;
+the failed-append and tamper tests pin that a rejected append or a
+modified store file never changes what readers see.
 """
 
 from __future__ import annotations
@@ -15,11 +18,15 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.sanitizer import compare_reports
 from repro.exceptions import InvalidInputError, ReproError
 from repro.serving import Query, ReconstructionCache, ShardedSynopsisStore
-from repro.serving.store import _digest
+from repro.serving.store import TIERS, _digest
+from repro.wavelet.synopsis import WaveletSynopsis
+from repro.wavelet.synopsis2d import greedy_abs_2d
 
 
 class TestConcurrentReaders:
@@ -170,6 +177,16 @@ class TestStoreApi:
             store.batch([Query("point", "s", index=16)])  # out of range
         with pytest.raises(InvalidInputError):
             store.batch([Query("range_sum", "s", lo=5, hi=4)])
+        # Only integers (not bools) index a series.
+        for bad in (3.5, "3", True, None):
+            with pytest.raises(InvalidInputError, match="integer index"):
+                store.batch([Query("point", "s", index=bad)])
+        for lo, hi in ((1.0, 4), (1, "4"), (1, 4.0), (False, 4)):
+            with pytest.raises(InvalidInputError, match="integer lo and hi"):
+                store.batch([Query("range_avg", "s", lo=lo, hi=hi)])
+        assert store.batch([Query("point", "s", index=np.int64(3))])[0].value == (
+            store.point("s", 3)
+        )
 
     def test_report_and_membership(self):
         store = ShardedSynopsisStore()
@@ -257,3 +274,338 @@ class TestStoreApi:
             scratch.digest_report(label="scratch"),
         )
         assert mismatches == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_are_rejected_before_any_change(self, bad):
+        store = ShardedSynopsisStore()
+        poisoned = np.arange(16.0)
+        poisoned[5] = bad
+        for tier in TIERS:
+            with pytest.raises(InvalidInputError, match="finite"):
+                store.create("x", poisoned, tier=tier, budget=8, base_leaves=4,
+                             subtree_leaves=4)
+        assert "x" not in store
+        store.create("s", np.arange(16.0), budget=8, base_leaves=4)
+        before = store.snapshot("s")
+        with pytest.raises(InvalidInputError, match="finite"):
+            store.append("s", [1.0, bad])
+        assert store.snapshot("s") is before
+        assert store.append("s", [1.0]).length == 17
+
+    @pytest.mark.parametrize(
+        "tier, params",
+        [
+            ("greedy", {"budget": 24, "base_leaves": 8}),
+            ("dp", {"epsilon": 1.5, "subtree_leaves": 8}),
+        ],
+    )
+    def test_failed_append_keeps_the_prior_version(self, tier, params):
+        rng = np.random.default_rng(29)
+        initial = rng.normal(0, 4, 90)
+        good = [rng.normal(0, 4, 7) for _ in range(3)]
+        store = ShardedSynopsisStore()
+        scratch = ShardedSynopsisStore()
+        for target in (store, scratch):
+            target.create("s", initial, tier=tier, **params)
+            target.append("s", good[0])
+        before = store.snapshot("s")
+        point = store.point("s", 3)
+
+        # The injected rebuild runs to completion, so the maintainer's
+        # caches hold the rejected values, then fails before publishing.
+        maintainer = store._series("s").maintainer
+        real_build = maintainer.build
+
+        def build_then_fail(*args, **kwargs):
+            real_build(*args, **kwargs)
+            raise RuntimeError("injected rebuild failure")
+
+        maintainer.build = build_then_fail
+        with pytest.raises(RuntimeError, match="injected"):
+            store.append("s", rng.normal(40, 4, 12))  # longer than the next block
+        assert store.snapshot("s") is before
+        assert store.point("s", 3) == point
+        with pytest.raises(InvalidInputError, match="out of bounds"):
+            store.point("s", before.length)  # rejected values are not served
+
+        for block in good[1:]:
+            published = store.append("s", block)
+            expected = scratch.append("s", block)
+            assert published.version == expected.version
+            assert published.length == expected.length
+            assert published.digest == expected.digest
+        assert store.history()[-2]["mode"] == "full"  # caches were dropped
+
+    def test_save_is_atomic_when_a_write_fails(self, tmp_path, monkeypatch):
+        store = ShardedSynopsisStore()
+        store.create("s", np.arange(40.0), budget=8, base_leaves=8)
+        path = tmp_path / "store.json"
+        store.save(path)
+        saved = path.read_bytes()
+        store.append("s", [1.0, 2.0])
+
+        def disk_full(fd):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr("repro.serving.store.os.fsync", disk_full)
+        with pytest.raises(OSError, match="no space"):
+            store.save(path)
+        assert path.read_bytes() == saved
+        assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
+        assert ShardedSynopsisStore.load(path).snapshot("s").version == 1
+
+    def test_load_rejects_tampered_and_foreign_files(self, tmp_path):
+        rng = np.random.default_rng(37)
+        store = ShardedSynopsisStore()
+        store.create("g", rng.normal(10, 2, 60), budget=16, base_leaves=8)
+        store.create("c", rng.normal(10, 2, 60), tier="static", budget=16,
+                     algorithm="greedy-abs")
+        path = tmp_path / "store.json"
+        store.save(path)
+        payload = json.loads(path.read_text())
+        assert payload["series"]["g"]["digest"] == store.snapshot("g").digest
+
+        for name in ("g", "c"):
+            tampered = json.loads(path.read_text())
+            coefficients = tampered["series"][name]["synopsis"]["coefficients"]
+            key = next(iter(coefficients))
+            coefficients[key] += 1.0
+            bad = tmp_path / f"tampered_{name}.json"
+            bad.write_text(json.dumps(tampered))
+            with pytest.raises(ReproError, match="digest"):
+                ShardedSynopsisStore.load(bad)
+
+        unknown = dict(payload, schema=99)
+        foreign = {
+            "unknown_schema.json": json.dumps(unknown),
+            "list.json": "[1, 2, 3]",
+            "synopsis.json": json.dumps(store.snapshot("g").synopsis.to_dict()),
+            "truncated.json": path.read_text()[:100],
+            "no_series.json": json.dumps({"schema": 2, "shards": 2}),
+        }
+        for file_name, text in foreign.items():
+            bad = tmp_path / file_name
+            bad.write_text(text)
+            with pytest.raises(ReproError):
+                ShardedSynopsisStore.load(bad)
+
+
+@pytest.fixture
+def static_store():
+    store = ShardedSynopsisStore()
+    rng = np.random.default_rng(0)
+    store.create("trips", rng.uniform(0, 1000, size=500), tier="static",
+                 budget=64, algorithm="greedy-abs")
+    store.create("wind", rng.uniform(0, 360, size=300), tier="static",
+                 budget=32, algorithm="conventional")
+    return store
+
+
+class TestStaticTier:
+    def test_names_and_membership(self, static_store):
+        assert static_store.names() == ["trips", "wind"]
+        assert "trips" in static_store and "missing" not in static_store
+        assert len(static_store) == 2
+
+    def test_create_records_guarantee(self, static_store):
+        assert static_store.guarantee("trips") < float("inf")
+        snapshot = static_store.snapshot("trips")
+        assert snapshot.tier == "static"
+        assert snapshot.synopsis.meta["max_abs_guarantee"] == snapshot.guarantee
+
+    def test_recreating_replaces(self, static_store):
+        before = static_store.guarantee("trips")
+        static_store.create("trips", np.zeros(500), tier="static", budget=4,
+                            algorithm="greedy-abs")
+        assert static_store.guarantee("trips") == 0.0
+        assert static_store.guarantee("trips") != before
+
+    def test_rejects_empty_series(self, static_store):
+        with pytest.raises(InvalidInputError):
+            static_store.create("bad", [], tier="static", budget=4)
+
+    def test_unknown_series(self, static_store):
+        with pytest.raises(ReproError):
+            static_store.point("missing", 0)
+
+    def test_append_is_rejected(self, static_store):
+        before = static_store.snapshot("trips")
+        with pytest.raises(InvalidInputError, match="static"):
+            static_store.append("trips", [1.0])
+        assert static_store.snapshot("trips") is before
+
+    def test_point_within_guarantee(self):
+        rng = np.random.default_rng(0)
+        data = rng.uniform(0, 1000, size=500)
+        fresh = ShardedSynopsisStore()
+        fresh.create("x", data, tier="static", budget=64, algorithm="greedy-abs")
+        guarantee = fresh.guarantee("x")
+        for i in (0, 250, 499):
+            assert abs(fresh.point("x", i) - data[i]) <= guarantee + 1e-9
+
+    def test_range_queries(self, static_store):
+        total = static_store.range_sum("trips", 0, 99)
+        average = static_store.range_avg("trips", 0, 99)
+        assert average == pytest.approx(total / 100)
+
+    def test_range_bounds_contain_exact_sum(self):
+        rng = np.random.default_rng(1)
+        data = rng.uniform(0, 1000, size=256)
+        fresh = ShardedSynopsisStore()
+        fresh.create("x", data, tier="static", budget=32, algorithm="greedy-abs")
+        lo, hi = 10, 99
+        lower, upper = fresh.range_sum_bounds("x", lo, hi)
+        exact = data[lo : hi + 1].sum()
+        assert lower - 1e-6 <= exact <= upper + 1e-6
+
+    def test_out_of_bounds_rejected(self, static_store):
+        with pytest.raises(InvalidInputError):
+            static_store.point("trips", 500)  # original length, padding excluded
+        with pytest.raises(InvalidInputError):
+            static_store.range_sum("wind", 100, 399)
+        with pytest.raises(InvalidInputError):
+            static_store.range_sum("wind", 50, 40)
+
+    def test_clip_edge_cases(self, static_store):
+        # Inverted range (even in-bounds endpoints).
+        with pytest.raises(InvalidInputError, match="empty range"):
+            static_store.range_avg("trips", 10, 9)
+        # Negative lo.
+        with pytest.raises(InvalidInputError, match="out of bounds"):
+            static_store.range_sum("trips", -1, 5)
+        # hi exactly at the original length (first padded index).
+        with pytest.raises(InvalidInputError, match="out of bounds"):
+            static_store.range_sum("wind", 0, 300)
+        # Single-element range at both extremes is fine.
+        assert static_store.range_sum("wind", 0, 0) == pytest.approx(
+            static_store.point("wind", 0)
+        )
+        assert static_store.range_sum("wind", 299, 299) == pytest.approx(
+            static_store.point("wind", 299)
+        )
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        st.lists(
+            st.integers(min_value=0, max_value=1000).map(float),
+            min_size=2,
+            max_size=120,
+        ),
+        st.data(),
+    )
+    def test_range_sum_bounds_tightness_property(self, data, draw):
+        """Bounds always contain the exact sum and are exactly
+        ``width * guarantee`` wide around the approximate answer."""
+        fresh = ShardedSynopsisStore()
+        fresh.create("x", data, tier="static", budget=8, algorithm="greedy-abs")
+        n = len(data)
+        lo = draw.draw(st.integers(min_value=0, max_value=n - 1))
+        hi = draw.draw(st.integers(min_value=lo, max_value=n - 1))
+        lower, upper = fresh.range_sum_bounds("x", lo, hi)
+        exact = float(np.sum(np.asarray(data)[lo : hi + 1]))
+        assert lower - 1e-6 <= exact <= upper + 1e-6
+        width = (hi - lo + 1) * fresh.guarantee("x")
+        approx = fresh.range_sum("x", lo, hi)
+        assert upper - approx == pytest.approx(width, abs=1e-9)
+        assert approx - lower == pytest.approx(width, abs=1e-9)
+
+    def test_report_rows(self, static_store):
+        rows = static_store.report()
+        assert [row["series"] for row in rows] == ["trips", "wind"]
+        assert all(row["ratio"] > 1 for row in rows)
+        assert rows[0]["length"] == 500
+        assert [row["algorithm"] for row in rows] == ["GreedyAbs", "CONV"]
+
+    def test_save_load_roundtrip(self, static_store, tmp_path):
+        path = tmp_path / "store.json"
+        static_store.save(path)
+        saved = json.loads(path.read_text())["series"]["trips"]
+        assert "data" not in saved and saved["kind"] == "1d"
+        loaded = ShardedSynopsisStore.load(path)
+        assert loaded.names() == static_store.names()
+        assert loaded.point("trips", 7) == pytest.approx(static_store.point("trips", 7))
+        assert loaded.guarantee("wind") == pytest.approx(static_store.guarantee("wind"))
+        for name in loaded.names():
+            assert loaded.snapshot(name).digest == static_store.snapshot(name).digest
+        # Original lengths preserved: bounds checks still apply.
+        with pytest.raises(InvalidInputError):
+            loaded.point("wind", 300)
+
+    def test_report_for_single_series_and_miss(self, static_store):
+        (row,) = static_store.report("wind")
+        assert row["series"] == "wind"
+        # Regression: a miss must raise the available-names ReproError,
+        # never a raw KeyError escaping from the series map.
+        with pytest.raises(ReproError, match=r"trips") as excinfo:
+            static_store.report("missing")
+        assert not isinstance(excinfo.value, KeyError)
+        with pytest.raises(ReproError, match=r"available.*wind") as excinfo:
+            static_store.guarantee("missing")
+        assert not isinstance(excinfo.value, KeyError)
+
+    def test_save_load_roundtrip_with_2d_and_none_length(self, static_store, tmp_path):
+        rng = np.random.default_rng(4)
+        grid = rng.uniform(0, 10, size=(8, 16))
+        static_store.register("cube", greedy_abs_2d(grid, budget=24))
+        # length=None falls back to the synopsis' own extent.
+        bare = WaveletSynopsis(n=64, coefficients={0: 3.0, 5: -1.0}, meta={})
+        static_store.register("bare", bare, length=None)
+        assert static_store.snapshot("cube").length == 8 * 16
+        assert static_store.snapshot("bare").length == 64
+        assert static_store.guarantee("bare") == float("inf")
+
+        path = tmp_path / "store.json"
+        static_store.save(path)
+        loaded = ShardedSynopsisStore.load(path)
+        assert loaded.names() == ["bare", "cube", "trips", "wind"]
+        cube = loaded.snapshot("cube").synopsis
+        original = static_store.snapshot("cube").synopsis
+        assert cube.shape == (8, 16)
+        assert cube.coefficients == original.coefficients
+        assert cube.cell_query(3, 7) == pytest.approx(original.cell_query(3, 7))
+        assert loaded.snapshot("cube").digest == static_store.snapshot("cube").digest
+        assert loaded.point("bare", 0) == pytest.approx(static_store.point("bare", 0))
+        # 1-D query ops refuse the 2-D series instead of misreading it,
+        # even when it is not the batch's first series.
+        with pytest.raises(InvalidInputError, match="2-D"):
+            loaded.point("cube", 0)
+        with pytest.raises(InvalidInputError, match="2-D"):
+            loaded.batch([Query("point", "trips", index=0), Query("point", "cube", index=0)])
+        # 2-D series still appear in reports.
+        row = next(r for r in loaded.report() if r["series"] == "cube")
+        assert row["coefficients"] == cube.size
+
+    def test_register_rejects_a_length_past_the_extent(self, static_store):
+        bare = WaveletSynopsis(n=64, coefficients={0: 3.0}, meta={})
+        with pytest.raises(InvalidInputError, match="extent"):
+            static_store.register("bare", bare, length=65)
+        assert "bare" not in static_store
+
+    def test_loads_the_former_flat_store_layout(self, tmp_path):
+        # Files written by the former single-tier store: a name -> entry
+        # map without a schema; entries from before the ``kind`` tag are 1-D.
+        rng = np.random.default_rng(6)
+        data = rng.uniform(0, 100, size=100)
+        reference = ShardedSynopsisStore()
+        reference.create("line", data, tier="static", budget=16,
+                         algorithm="greedy-abs")
+        reference.register("cube", greedy_abs_2d(rng.uniform(0, 10, (4, 8)), 8))
+        line = reference.snapshot("line").synopsis
+        flat = {
+            "line": {"synopsis": line.to_dict(), "original_length": 100},
+            "cube": {
+                "kind": "2d",
+                "synopsis": reference.snapshot("cube").synopsis.to_dict(),
+                "original_length": 32,
+            },
+        }
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(flat))
+        loaded = ShardedSynopsisStore.load(path)
+        assert loaded.names() == ["cube", "line"]
+        assert loaded.snapshot("line").tier == "static"
+        assert loaded.snapshot("line").digest == reference.snapshot("line").digest
+        assert loaded.snapshot("cube").digest == reference.snapshot("cube").digest
+        assert loaded.range_sum("line", 3, 60) == reference.range_sum("line", 3, 60)
+        with pytest.raises(InvalidInputError):
+            loaded.point("line", 100)
