@@ -104,9 +104,9 @@ def bench_fig5c(benchmark, settings):
     both = [r for r in rows if r["note"] != "OOM"]
     assert both[-1]["GreedyAbs (s)"] > both[-1]["DGreedyAbs m=40 (s)"]
     # Near-linear scalability: doubling N stays well below quadratic
-    # growth.  (The speculative emission of job 1 carries an O(R^2 S)
-    # worst-case term — Section 5.3's per-worker analysis — so the last
-    # doubling can exceed 2x; bucketization keeps it bounded.)
+    # growth.  (Job 1 ships one packed histogram per distinct run and
+    # level-2 worker, O(R * W * log R) records, so the last doubling can
+    # still exceed 2x; bucketization keeps each record bounded.)
     times = [row["DGreedyAbs m=40 (s)"] for row in rows]
     for smaller, larger in zip(times, times[1:]):
         assert larger < smaller * 4.2

@@ -54,12 +54,13 @@ SHUFFLE_BATCH_SIZES = [1 << 10, 1 << 13, 1 << 16]
 
 
 def shuffle_shaped_records(count: int, seed: int = 7) -> list[tuple[Any, Any]]:
-    """A reproducible batch shaped like DGreedyAbs's job-1 shuffle traffic.
+    """A reproducible mixed-signature batch: the codec's stress shape.
 
     Interleaves 4-tuple ``hist`` keys (with ``(count, cut_error)``
-    values) and 3-tuple ``final`` keys (float values) in a ~15:1 ratio,
-    matching one histogram record per removal plus one final record per
-    (candidate, sub-tree).
+    values) and 3-tuple ``final`` keys (float values) in a ~15:1 ratio —
+    the per-bucket, per-candidate stream DGreedyAbs's job 1 shuffled
+    before it packed one record per (distinct run, reducer).  Kept
+    unchanged so ``BENCH_shuffle.json`` stays comparable.
     """
     rng = np.random.default_rng(seed)
     records: list[tuple[Any, Any]] = []

@@ -10,13 +10,17 @@ sub-tree, the algorithm:
    sets ``C_root`` (``genRootSets``, Algorithm 4);
 2. **job 1** — every level-1 worker (one per base sub-tree) replays
    GreedyAbs once per *distinct incoming error* its sub-tree sees across
-   the candidates (at most ``log R + 2`` runs, Section 5.3), emitting
-   *error-bucketed histograms* (``discardNode``/ErrHistGreedyAbs,
-   Algorithm 3) instead of node lists — an int per bucket instead of the
-   nodes themselves;
-3. level-2 workers merge the histograms per candidate and read off the
-   best achievable error at rank ``B - |C_root|`` (``combineResults``,
-   Algorithm 5); the driver picks the winning candidate;
+   the candidates (at most ``log R + 2`` runs, Section 5.3), summarizing
+   each run as an *error-bucketed histogram* (``discardNode``/
+   ErrHistGreedyAbs, Algorithm 3) instead of a node list.  Each distinct
+   histogram is shuffled once per level-2 worker that owns at least one
+   of the candidates sharing it — one packed record carrying the owned
+   candidate ids and the buckets as columns — never once per candidate
+   or once per bucket;
+3. level-2 workers expand every record to its owned candidates, merge
+   the histograms per candidate and read off the best achievable error at
+   rank ``B - |C_root|`` (``combineResults``, Algorithm 5); the driver
+   picks the winning candidate;
 4. **job 2** — each worker replays GreedyAbs once for the winning
    candidate only, now emitting the actual nodes whose removal error
    reaches the winning error, and the driver assembles the synopsis
@@ -25,9 +29,10 @@ sub-tree, the algorithm:
 One refinement over the paper's Algorithm 5: a candidate's achievable
 error is floored by ``max_j |e_in,j|`` — the incoming error a base
 sub-tree cannot repair even when *all* its nodes are retained.  Each
-worker therefore also emits its run's initial error, and
-``combineResults`` takes the max of the rank error and that floor (the
-rank alone can under-report when one sub-tree's nodes are all retained).
+histogram record therefore also carries its run's final (all-removed)
+error, and ``combineResults`` takes the max of the rank error and that
+floor (the rank alone can under-report when one sub-tree's nodes are all
+retained).
 
 Setting ``metric="max_rel"`` swaps the GreedyRel engine in at both levels
 (Section 5.4); the harness and tests exercise both.
@@ -226,7 +231,20 @@ def _bucketized_histogram(
 
 
 class _HistogramJob(MapReduceJob):
-    """Job 1: speculative ErrHistGreedyAbs runs on every base sub-tree."""
+    """Job 1: speculative ErrHistGreedyAbs runs on every base sub-tree.
+
+    Candidate ``c`` belongs to level-2 worker ``c % num_reducers``.  For
+    each distinct incoming error and each worker owning at least one of
+    the candidates that share it, the map emits one packed record::
+
+        ("hist", reducer, subtree, incoming_error) ->
+            (owned_candidate_ids: int32[m], bucket_errors: float64[k],
+             counts: int32[k], cut_errors: float64[k], final_error)
+
+    so a sub-tree ships at most ``min(|C|, workers * (log R + 2))``
+    records whatever ``|C|``, and the byte model charges the columns by
+    ``nbytes`` instead of walking one tuple per bucket.
+    """
 
     name = "dgreedy-histograms"
     stage_label = "dgreedy.histograms"
@@ -262,39 +280,51 @@ class _HistogramJob(MapReduceJob):
         for incoming_error, candidate_ids in by_incoming.items():
             run = self.engine.base_run(local_coefficients, split.values, incoming_error)
             histogram, final_error = _bucketized_histogram(run, self.bucket_width)
+            bucket_errors = np.array([b[0] for b in histogram], dtype=np.float64)
+            counts = np.array([b[1] for b in histogram], dtype=np.int32)
+            cut_errors = np.array([b[2] for b in histogram], dtype=np.float64)
+            owned: dict[int, list[int]] = {}
             for candidate_id in candidate_ids:
-                for bucket_error, count, cut_error in histogram:
-                    yield ("hist", candidate_id, subtree_index, bucket_error), (count, cut_error)
-                yield ("final", candidate_id, subtree_index), final_error
+                owned.setdefault(candidate_id % self.num_reducers, []).append(candidate_id)
+            for reducer, ids in owned.items():
+                yield ("hist", reducer, subtree_index, incoming_error), (
+                    np.array(ids, dtype=np.int32),
+                    bucket_errors,
+                    counts,
+                    cut_errors,
+                    final_error,
+                )
 
     def partition(self, key: Any, num_reducers: int) -> int:
-        # All key-values of one candidate go to the same level-2 worker.
-        return key[1] % num_reducers
+        # The map already addressed the record to its owning worker.
+        return int(key[1])
 
     def reduce_partition(self, records: list[tuple[Any, Any]]) -> Iterator[tuple[Any, Any]]:
         """combineResults (Algorithm 5), generalized to all cut thresholds.
 
-        For every candidate the sweep walks the merged bucket thresholds
-        from high to low: at threshold ``T`` each sub-tree retains its
-        nodes whose running-max bucket is ``>= T`` and sits at the
+        Every record is expanded to the candidates it carries.  For every
+        candidate the sweep then walks the merged bucket thresholds from
+        high to low: at threshold ``T`` each sub-tree retains its nodes
+        whose running-max bucket is ``>= T`` and sits at the
         corresponding cut error.  Every feasible ``T`` (total retained
         <= ``B - |C_root|``) is evaluated and the best kept — the paper's
         single rank lookup is the lowest feasible threshold.
         """
         per_candidate: dict[int, dict[int, dict]] = {}
-        for key, payload in records:
-            candidate_id, subtree = key[1], key[2]
-            entry = per_candidate.setdefault(candidate_id, {}).setdefault(
-                subtree, {"buckets": [], "final": 0.0}
-            )
-            if key[0] == "hist":
-                bucket_error = key[3]
-                entry["buckets"].append((bucket_error, payload[0], payload[1]))
-            else:
-                entry["final"] = payload
-        for candidate_id, subtrees in per_candidate.items():
+        for key, (candidate_ids, bucket_errors, counts, cut_errors, final_error) in records:
+            entry = {
+                "buckets": list(
+                    zip(bucket_errors.tolist(), counts.tolist(), cut_errors.tolist())
+                ),
+                "final": final_error,
+            }
+            for candidate_id in candidate_ids.tolist():
+                per_candidate.setdefault(candidate_id, {})[key[2]] = entry
+        for candidate_id in sorted(per_candidate):
             base_budget = self.budget - candidate_id
-            yield candidate_id, _best_cut_over_thresholds(subtrees, base_budget)
+            yield candidate_id, _best_cut_over_thresholds(
+                per_candidate[candidate_id], base_budget
+            )
 
 
 def _best_cut_over_thresholds(
@@ -422,11 +452,25 @@ def _distributed_greedy(
         values = np.asarray(data, dtype=np.float64)
         if values.ndim != 1 or not is_power_of_two(values.shape[0]):
             raise InvalidInputError("data length must be a power of two")
+        if not np.isfinite(values).all():
+            raise InvalidInputError("data must be finite (no NaN or inf)")
         n = int(values.shape[0])
     if budget < 0:
         raise InvalidInputError("budget must be non-negative")
-    if bucket_width <= 0:
-        raise InvalidInputError("bucket width must be strictly positive")
+    # An infinite width makes every bucket 0 * inf = NaN, which the
+    # threshold sweep's equality grouping never steps past.
+    if not (math.isfinite(bucket_width) and bucket_width > 0):
+        raise InvalidInputError(
+            f"bucket width must be finite and strictly positive, got {bucket_width!r}"
+        )
+    if (
+        not isinstance(level2_workers, (int, np.integer))
+        or isinstance(level2_workers, bool)
+        or level2_workers < 1
+    ):
+        raise InvalidInputError(
+            f"level2_workers must be an integer >= 1, got {level2_workers!r}"
+        )
     cluster = cluster or SimulatedCluster()
     if base_leaves >= n:
         base_leaves = n // 2
@@ -444,6 +488,9 @@ def _distributed_greedy(
     averages = np.empty(root_size, dtype=np.float64)
     for split_id, average in averages_result.output:
         averages[split_id] = average
+    # The only look a file-backed build gets at its data before job 1.
+    if not np.isfinite(averages).all():
+        raise InvalidInputError("data must be finite (no NaN or inf)")
 
     # Driver: GreedyAbs on the root sub-tree + genRootSets (Algorithm 4).
     with cluster.driver():

@@ -95,6 +95,8 @@ def build_synopsis(
         keeps the input on disk (out-of-core); only the sub-tree
         partitioned greedy algorithms (``dgreedy-abs``/``dgreedy-rel``)
         support it — every other driver materializes the full array.
+        NaN or inf values raise :class:`InvalidInputError` — before any
+        job for a resident array, after the averages pre-job for a file.
     budget:
         Maximum number of retained coefficients ``B``.
     algorithm:
@@ -148,6 +150,8 @@ def build_synopsis(
             data, budget, sanity_bound, cluster, base_leaves=subtree_leaves
         )
     values = np.asarray(data, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise InvalidInputError("data must be finite (no NaN or inf)")
     if pad:
         values = pad_to_power_of_two(values)
 

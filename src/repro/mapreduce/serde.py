@@ -238,9 +238,9 @@ def _encode_group(items: list[Any]) -> bytes:
     """Encode one stream of keys (or values, or tuple positions).
 
     A homogeneous stream becomes a single typed column; a heterogeneous
-    one (e.g. DGreedyAbs's interleaved 4-tuple ``hist`` and 3-tuple
-    ``final`` keys) is partitioned by signature into sub-columns plus a
-    one-byte-per-record selector array that restores the interleaving.
+    one (e.g. interleaved 4-tuple and 3-tuple keys) is partitioned by
+    signature into sub-columns plus a one-byte-per-record selector array
+    that restores the interleaving.
 
     Homogeneity is detected with ``set(map(type, ...))`` — one C-level
     pass — and mixed streams are partitioned by numpy type-id labeling

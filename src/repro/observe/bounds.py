@@ -34,13 +34,24 @@ uses the grid the run actually used.
 DGreedyAbs histogram bound
 --------------------------
 
-Job 1 emits, per (candidate, base sub-tree), at most one bucket record
-per greedy removal plus one final-error record.  A base sub-tree of
-``s`` leaves has at most ``s - 1`` removable detail coefficients (the
-average slot belongs to the root sub-tree), and there are at most
-``min(R, B) + 1`` candidates over ``R = N / s`` sub-trees, so::
+Job 1 emits, per base sub-tree, one packed record per (distinct incoming
+error, owning level-2 worker): the owned candidate ids plus the run's
+bucket, count and cut-error columns and its final error.  With ``R = N /
+s`` sub-trees, ``C = min(R, B) + 1`` candidates and ``W = min(L2, C)``
+level-2 workers, a sub-tree ships at most::
 
-    bytes(job 1) <= (min(R, B) + 1) * R * ((s - 1) * hist_rec + final_rec)
+    K = min(C, W * (floor(log2 R) + 2))
+
+records — at most ``C`` because each candidate sits in exactly one
+record, and at most ``W * (log2 R + 2)`` because the candidates are
+nested suffixes of the root removal order and a virtual leaf's incoming
+error changes only when one of its ``log2 R + 1`` root-tree ancestors
+joins the retained set.  A run over ``s`` leaves removes at most
+``s - 1`` detail coefficients (the average slot belongs to the root
+sub-tree), so it has at most ``s - 1`` buckets, and every candidate id
+is charged once per sub-tree.  Hence::
+
+    bytes(job 1) <= R * K * rec(s - 1 buckets, 0 ids) + R * C * id_bytes
 
 Record sizes are taken from :func:`repro.mapreduce.serde.record_size` on
 template records, so the bound tracks the serde model by construction.
@@ -51,6 +62,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Any
+
+import numpy as np
 
 from repro.algos.minhaarspace import MRow, approx_params
 from repro.core.partitioning import LayerPlan, parse_layer_plan, root_base_partition
@@ -151,19 +164,39 @@ def dmhaarspace_layer_bounds(
     return bounds
 
 
-def dgreedy_histogram_bound(n: int, base_leaves: int, budget: int) -> int:
+def _histogram_record_size(buckets: int, ids: int) -> int:
+    """Serde bytes of one job-1 record with ``buckets`` buckets and ``ids`` ids."""
+    return record_size(
+        ("hist", 0, 0, 0.0),
+        (
+            np.zeros(ids, dtype=np.int32),
+            np.zeros(buckets, dtype=np.float64),
+            np.zeros(buckets, dtype=np.int32),
+            np.zeros(buckets, dtype=np.float64),
+            0.0,
+        ),
+    )
+
+
+def dgreedy_histogram_bound(
+    n: int, base_leaves: int, budget: int, level2_workers: int = 4
+) -> int:
     """Histogram-compression byte budget for DGreedyAbs's job 1.
 
     See the module docstring for the derivation; record sizes come from
     the serde model applied to template records, so the bound and the
-    measurement can never drift apart silently.
+    measurement can never drift apart silently.  ``level2_workers``
+    mirrors :func:`~repro.core.dgreedy.d_greedy_abs`'s default.
     """
+    if level2_workers < 1:
+        raise InvalidInputError("level2_workers must be at least 1")
     r, _ = root_base_partition(n, base_leaves)
     candidates = min(r, budget) + 1
-    removals_per_subtree = base_leaves - 1
-    hist_record = record_size(("hist", 0, 0, 0.0), (0, 0.0))
-    final_record = record_size(("final", 0, 0), 0.0)
-    return candidates * r * (removals_per_subtree * hist_record + final_record)
+    workers = min(level2_workers, candidates)
+    records_per_subtree = min(candidates, workers * (r.bit_length() - 1 + 2))
+    record = _histogram_record_size(base_leaves - 1, 0)
+    id_bytes = _histogram_record_size(0, 1) - _histogram_record_size(0, 0)
+    return r * records_per_subtree * record + r * candidates * id_bytes
 
 
 @dataclass(frozen=True)
@@ -251,13 +284,17 @@ def check_dmhaarspace_trace(
 
 
 def check_dgreedy_trace(
-    trace: dict[str, Any], n: int, base_leaves: int, budget: int
+    trace: dict[str, Any],
+    n: int,
+    base_leaves: int,
+    budget: int,
+    level2_workers: int = 4,
 ) -> list[BoundCheck]:
     """Check DGreedyAbs's histogram job(s) against the emission budget."""
     jobs = _jobs_by_label(trace, "dgreedy.histograms")
     if not jobs:
         raise InvalidInputError("trace contains no dgreedy.histograms jobs to check")
-    bound = dgreedy_histogram_bound(n, base_leaves, budget)
+    bound = dgreedy_histogram_bound(n, base_leaves, budget, level2_workers)
     return [
         BoundCheck(
             job_name=str(job.get("name", "")),

@@ -8,7 +8,9 @@ Two families of assertions, both against traces captured by
   one-record-per-subtree floor (so the bound is *tracking* the emission,
   not merely dwarfing it).
 * **Histogram compression** — DGreedyAbs's job 1 never emits more than
-  ``(min(R,B)+1) * R * ((s-1) * hist_rec + final_rec)`` bytes.
+  ``R * K * rec(s-1 buckets) + R * C * id_bytes`` bytes, with
+  ``C = min(R,B)+1`` candidates and ``K = min(C, W * (log2 R + 2))``
+  packed records per sub-tree, and at least a measured fraction of it.
 
 Both families run on synthetic uniform data and on the NYCT-shaped
 dataset, at the tolerances the bound derivation gives — no slack factors.
@@ -22,7 +24,9 @@ import pytest
 from repro.core.dgreedy import d_greedy_abs
 from repro.core.dp_framework import dm_haar_space
 from repro.data.nyct import nyct_dataset
+from repro.exceptions import InvalidInputError
 from repro.mapreduce import LocalRuntime, ShuffleConfig, SimulatedCluster, estimate_size
+from repro.mapreduce.serde import record_size
 from repro.observe import (
     check_dgreedy_trace,
     check_dmhaarspace_trace,
@@ -173,15 +177,55 @@ class TestDGreedyHistogramBound:
                 f"the compression bound {check.bound_bytes}"
             )
             assert check.measured_bytes > 0
+            # Floor measured on these six builds (lowest: 0.21 on the
+            # 2^14 synthetic input), so the budget tracks the emission
+            # rather than dwarfing it.
+            assert check.utilization >= 0.2
 
     def test_bound_formula_matches_partition(self) -> None:
-        # R = N / s sub-trees; min(R, B) + 1 candidates; s - 1 removable
-        # nodes each. With B >= R every candidate exists.
-        n, s, b = 256, 16, 256
-        r = n // s
-        bound = dgreedy_histogram_bound(n, s, b)
-        per_subtree_records = s - 1  # hist buckets
-        assert bound == (r + 1) * r * (per_subtree_records * 40 + 25)
+        # R = N / s sub-trees; C = min(R, B) + 1 candidates; W = 4 level-2
+        # workers; K = min(C, W * (log2 R + 2)) records per sub-tree of at
+        # most s - 1 buckets.  A record is a 24-byte key plus a 28-byte
+        # value frame, 20 bytes per bucket (float64 + int32 + float64
+        # columns) and 4 per candidate id.
+        n, s, b = 256, 16, 256  # R = 16: every candidate gets its own slot
+        r, c = n // s, n // s + 1
+        k = c  # min(17, 4 * (4 + 2))
+        assert dgreedy_histogram_bound(n, s, b) == r * k * (52 + (s - 1) * 20) + r * c * 4
+        n = 4096  # R = 256: the W * (log2 R + 2) cap binds
+        r, c = n // s, n // s + 1
+        k = 4 * (8 + 2)
+        assert dgreedy_histogram_bound(n, s, b) == r * k * (52 + (s - 1) * 20) + r * c * 4
+        # One level-2 worker: one record per distinct incoming error.
+        assert dgreedy_histogram_bound(n, s, b, level2_workers=1) == (
+            r * 10 * (52 + (s - 1) * 20) + r * c * 4
+        )
+
+    def test_bound_never_exceeds_the_per_bucket_budget(self) -> None:
+        # The former emission (one record per bucket per candidate plus a
+        # final-error record) had the budget C * R * ((s-1) * hist + final).
+        hist = record_size(("hist", 0, 0, 0.0), (0, 0.0))
+        final = record_size(("final", 0, 0), 0.0)
+        looser_at_two = False
+        for log_n in range(2, 13):
+            n = 1 << log_n
+            for s in (1 << h for h in range(1, log_n)):
+                r = n // s
+                for b in {0, 1, r // 2, r, 4 * r, n}:
+                    c = min(r, b) + 1
+                    per_bucket = c * r * ((s - 1) * hist + final)
+                    for workers in (1, 2, 4, 8, 64):
+                        bound = dgreedy_histogram_bound(n, s, b, workers)
+                        if s >= 4:
+                            assert bound <= per_bucket, (n, s, b, workers)
+                        looser_at_two |= bound > per_bucket
+        # At s = 2 a one-bucket packed record carries more framing than
+        # the two records it replaces.
+        assert looser_at_two
+
+    def test_rejects_non_positive_level2_workers(self) -> None:
+        with pytest.raises(InvalidInputError):
+            dgreedy_histogram_bound(256, 16, 32, level2_workers=0)
 
 
 class TestExternalShuffleBounds:

@@ -5,17 +5,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algos.greedy_abs import greedy_abs, greedy_abs_order
 from repro.algos.greedy_rel import greedy_rel
 from repro.core.dgreedy import (
+    _AbsEngine,
+    _best_cut_over_thresholds,
     _bucketized_histogram,
     _candidate_incoming_errors,
+    _HistogramJob,
+    _RelEngine,
     d_greedy_abs,
     d_greedy_rel,
 )
 from repro.exceptions import InvalidInputError
 from repro.mapreduce import SimulatedCluster
+from repro.mapreduce.hdfs import aligned_splits
 from repro.wavelet.transform import haar_transform
 
 
@@ -232,3 +239,120 @@ class TestCommunicationCompression:
         fine_bytes = fine_cluster.log.jobs[1].shuffle_bytes
         coarse_bytes = coarse_cluster.log.jobs[1].shuffle_bytes
         assert coarse_bytes < fine_bytes
+
+
+class TestArgumentValidation:
+    """Bad DGreedy arguments fail with InvalidInputError before any job runs."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # Every bucket would be 0 * inf = NaN and the sweep would hang.
+            {"bucket_width": math.inf},
+            {"bucket_width": math.nan},
+            {"level2_workers": 0},
+            {"level2_workers": -1},
+            {"level2_workers": 2.0},
+        ],
+        ids=["width-inf", "width-nan", "l2-zero", "l2-negative", "l2-float"],
+    )
+    @pytest.mark.parametrize("build", [d_greedy_abs, d_greedy_rel], ids=["abs", "rel"])
+    def test_rejected_before_any_job(self, build, kwargs):
+        cluster = SimulatedCluster()
+        with pytest.raises(InvalidInputError):
+            build(uniform_data(64), 8, cluster=cluster, base_leaves=16, **kwargs)
+        assert cluster.log.jobs == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("build", [d_greedy_abs, d_greedy_rel], ids=["abs", "rel"])
+    def test_non_finite_resident_data(self, build, bad):
+        data = uniform_data(64)
+        data[17] = bad
+        cluster = SimulatedCluster()
+        with pytest.raises(InvalidInputError, match="finite"):
+            build(data, 8, cluster=cluster, base_leaves=16)
+        assert cluster.log.jobs == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("build", [d_greedy_abs, d_greedy_rel], ids=["abs", "rel"])
+    def test_non_finite_file_backed_data(self, tmp_path, build, bad):
+        from repro.mapreduce import FileDataset
+
+        data = uniform_data(64)
+        data[40] = bad
+        path = tmp_path / "data.npy"
+        np.save(path, data)
+        cluster = SimulatedCluster()
+        with pytest.raises(InvalidInputError, match="finite"):
+            build(FileDataset(path), 8, cluster=cluster, base_leaves=16)
+        # Only the averages pre-job may read a file-backed input.
+        assert [job.job_name for job in cluster.log.jobs] == ["dgreedy-averages"]
+
+
+def _reference_job_output(engine, splits, candidates, budget, bucket_width):
+    """The sweep over per-candidate histograms, one base run per (candidate, sub-tree)."""
+    expected = {}
+    for candidate in candidates:
+        subtrees = {}
+        for split in splits:
+            local = haar_transform(split.values)
+            local[0] = 0.0
+            run = engine.base_run(
+                local, split.values, float(candidate.incoming[split.split_id])
+            )
+            buckets, final = _bucketized_histogram(run, bucket_width)
+            subtrees[split.split_id] = {"buckets": buckets, "final": final}
+        expected[candidate.index] = _best_cut_over_thresholds(
+            subtrees, budget - candidate.index
+        )
+    return expected
+
+
+class TestPackedEmission:
+    """Job 1's deduplicated records reduce to the per-candidate sweep."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_n=st.integers(3, 7),
+        log_s=st.integers(1, 6),
+        budget_fraction=st.floats(0.0, 1.0),
+        level2_workers=st.sampled_from([1, 3, 4, 1000]),
+        metric=st.sampled_from(["abs", "rel"]),
+        bucket_width=st.sampled_from([1e-6, 1.0, 25.0]),
+        high=st.sampled_from([3, 1000]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_reducer_matches_per_candidate_sweep(
+        self, log_n, log_s, budget_fraction, level2_workers, metric, bucket_width, high, seed
+    ):
+        n = 1 << log_n
+        base_leaves = 1 << min(log_s, log_n - 1)
+        budget = int(budget_fraction * n)
+        # A small value range repeats incoming errors across candidates.
+        data = np.random.default_rng(seed).integers(0, high, n).astype(float)
+        engine = _AbsEngine() if metric == "abs" else _RelEngine()
+
+        splits = aligned_splits(data, base_leaves)
+        r = len(splits)
+        averages = np.array([float(np.mean(split.values)) for split in splits])
+        root_run = engine.root_run(haar_transform(averages), averages)
+        candidates = _candidate_incoming_errors(root_run, r, budget)
+        workers = min(level2_workers, len(candidates))
+        job = _HistogramJob(engine, candidates, budget, bucket_width, workers)
+
+        output = SimulatedCluster().run_job(job, splits).output
+        assert dict(output) == _reference_job_output(
+            engine, splits, candidates, budget, bucket_width
+        )
+        assert len(output) == len(candidates)
+        for reducer in range(workers):
+            ids = [cid for cid, _ in output if cid % workers == reducer]
+            assert ids == sorted(ids)
+
+        # K = min(C, W * (log2 R + 2)) records per sub-tree.
+        cap = min(len(candidates), workers * (r.bit_length() - 1 + 2))
+        for split in splits:
+            records = list(job.map(split))
+            assert len(records) <= cap
+            ids = sorted(i for _, value in records for i in value[0].tolist())
+            assert ids == [c.index for c in candidates]

@@ -95,8 +95,8 @@ class TestCodecRoundTrip:
             assert type(dvalue) is type(value)
 
     def test_mixed_signature_stream_restores_interleaving(self):
-        # DGreedyAbs's job 1 interleaves 4-tuple "hist" keys with 3-tuple
-        # "final" keys — the exact shape the 'M' column exists for.
+        # Interleaved 4-tuple and 3-tuple keys (the shape DGreedyAbs's
+        # job 1 once shuffled) — exactly what the 'M' column exists for.
         records = []
         for i in range(50):
             records.append((("hist", i, i % 4, float(i)), (i, float(i) / 2)))

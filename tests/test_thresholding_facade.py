@@ -71,3 +71,21 @@ class TestFacade:
         exact_sum = data[10:50].sum()
         approx_sum = synopsis.range_sum(10, 49)
         assert abs(approx_sum - exact_sum) / exact_sum < 0.5
+
+
+class TestNonFiniteData:
+    """NaN/inf data fails cleanly before any algorithm or job runs."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_rejected_before_any_job(self, algorithm, bad):
+        from repro.mapreduce import SimulatedCluster
+
+        data = uniform_data(64, seed=7)
+        data[5] = bad
+        cluster = SimulatedCluster()
+        with pytest.raises(InvalidInputError, match="finite"):
+            build_synopsis(
+                data, 8, algorithm=algorithm, cluster=cluster, subtree_leaves=16
+            )
+        assert cluster.log.jobs == []
